@@ -4,8 +4,8 @@
 // each field's decoded previous step as the temporal reference and
 // inserting spatial keyframes every K steps. restart()/read_series()
 // reconstruct any step by chain-decoding from the nearest keyframe,
-// fetching whole-chain payloads asynchronously and entropy-decoding only
-// the blocks a sparse request touches — at every link of the chain.
+// fetching each link's payload right before it decodes and entropy-
+// decoding only the blocks a sparse request touches — at every link.
 #pragma once
 
 #include <cstdint>
@@ -30,8 +30,6 @@ struct SeriesOptions {
   std::uint32_t keyframe_interval = 8;
   /// Worker threads per step compression (0 = all hardware threads).
   unsigned compress_threads = 1;
-  /// true: async-write overlap (field k+1 compresses while field k lands).
-  bool pipeline = true;
   /// true: every write_step ends with a crash-consistent commit, bounding
   /// data loss after a crash to one step at the cost of three fsyncs per
   /// step. false: data becomes durable when the writer closes.
@@ -39,7 +37,6 @@ struct SeriesOptions {
 
   SeriesOptions& with_keyframe_interval(std::uint32_t k) { keyframe_interval = k; return *this; }
   SeriesOptions& with_compress_threads(unsigned n) { compress_threads = n; return *this; }
-  SeriesOptions& with_pipeline(bool on) { pipeline = on; return *this; }
   SeriesOptions& with_commit_every_step(bool on) { commit_every_step = on; return *this; }
 };
 
@@ -91,7 +88,6 @@ inline bool is_keyframe_step(std::uint32_t step, std::uint32_t interval) {
 
 struct SeriesReadOptions {
   unsigned decompress_threads = 1;
-  bool pipeline = true;
   /// Checksum depth applied at every link of the restart chain (no-op on
   /// blobs from format versions without checksums).
   VerifyMode verify = VerifyMode::kBlock;
@@ -102,7 +98,6 @@ struct SeriesReadOptions {
   bool degraded = false;
 
   SeriesReadOptions& with_decompress_threads(unsigned n) { decompress_threads = n; return *this; }
-  SeriesReadOptions& with_pipeline(bool on) { pipeline = on; return *this; }
   SeriesReadOptions& with_verify(VerifyMode mode) { verify = mode; return *this; }
   SeriesReadOptions& with_degraded(bool on) { degraded = on; return *this; }
 };

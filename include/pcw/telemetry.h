@@ -45,7 +45,7 @@ struct Telemetry {
   std::uint64_t io_read_bytes = 0;
   std::uint64_t io_syncs = 0;
   std::uint64_t io_write_retries = 0;
-  std::uint64_t io_async_enqueues = 0;
+  std::uint64_t io_async_enqueues = 0;  // async_write submissions
   std::uint64_t io_queue_depth = 0;
   std::uint64_t io_queue_hiwater = 0;
   std::uint64_t io_write_p50_ns = 0;

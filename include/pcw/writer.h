@@ -37,8 +37,6 @@ struct WriterOptions {
   double extra_space = 1.25;
   /// Worker threads per partition compression (0 = all hardware threads).
   unsigned compress_threads = 1;
-  /// Background I/O threads for the async write queue.
-  unsigned async_threads = 1;
   /// true: build the file under a temporary name and atomically rename it
   /// into place at the first commit, so the final path never names a
   /// half-written file. false: write in place (needed when the directory
@@ -50,7 +48,6 @@ struct WriterOptions {
   WriterOptions& with_mode(WriteMode m) { mode = m; return *this; }
   WriterOptions& with_extra_space(double r) { extra_space = r; return *this; }
   WriterOptions& with_compress_threads(unsigned n) { compress_threads = n; return *this; }
-  WriterOptions& with_async_threads(unsigned n) { async_threads = n; return *this; }
   WriterOptions& with_atomic_create(bool on) { atomic_create = on; return *this; }
   WriterOptions& with_write_retries(unsigned n) { write_retries = n; return *this; }
 };

@@ -8,7 +8,7 @@
 namespace pcw::core {
 
 template <typename T>
-std::vector<std::vector<T>> read_fields(mpi::Comm& comm, h5::File& file,
+std::vector<std::vector<T>> read_fields(mpi::Comm& comm, const h5::File& file,
                                         std::span<const ReadSpec> specs,
                                         const ReadEngineConfig& config,
                                         ReadReport* report_out) {
@@ -28,27 +28,9 @@ std::vector<std::vector<T>> read_fields(mpi::Comm& comm, h5::File& file,
     report.plan_seconds = stage.seconds();
   }
 
-  const std::size_t nfields = plans.size();
-  std::vector<std::vector<h5::PayloadTicket>> inflight(nfields);
-  std::vector<bool> issued(nfields, false);
-  auto issue = [&](std::size_t f) {
-    if (issued[f]) return;
-    issued[f] = true;
-    inflight[f] = h5::async_read_selection(file, *plans[f].desc, plans[f].selection);
-  };
-
   h5::RegionReadStats stats;
-  std::vector<std::vector<T>> results(nfields);
-  for (std::size_t f = 0; f < nfields; ++f) {
-    // The reverse-Fig.-3 overlap: the next field's payloads are already
-    // streaming off disk while this field entropy-decodes. pipeline=false
-    // touches the async queue not at all — every payload is fetched on
-    // this thread right before its decode, a genuinely serial baseline.
-    if (config.pipeline) {
-      issue(f);
-      if (f + 1 < nfields) issue(f + 1);
-    }
-
+  std::vector<std::vector<T>> results(plans.size());
+  for (std::size_t f = 0; f < plans.size(); ++f) {
     const FieldReadPlan& plan = plans[f];
     results[f].resize(plan.selection.elements);
     report.elements_out += plan.selection.elements;
@@ -58,10 +40,7 @@ std::vector<std::vector<T>> read_fields(mpi::Comm& comm, h5::File& file,
       std::vector<std::uint8_t> payload;
       {
         util::trace::StageTimer stage("payload_wait", "read", "part", p);
-        payload =
-            config.pipeline
-                ? inflight[f][p].join()
-                : h5::read_selection_payload(file, *plan.desc, plan.selection.parts[p]);
+        payload = h5::read_selection_payload(file, *plan.desc, plan.selection.parts[p]);
         report.read_seconds += stage.seconds();
       }
       util::trace::StageTimer stage("decode", "read", "part", p);
@@ -71,7 +50,6 @@ std::vector<std::vector<T>> read_fields(mpi::Comm& comm, h5::File& file,
                                     config.verify);
       report.decompress_seconds += stage.seconds();
     }
-    inflight[f].clear();
   }
 
   report.bytes_read = stats.payload_bytes;
@@ -83,13 +61,11 @@ std::vector<std::vector<T>> read_fields(mpi::Comm& comm, h5::File& file,
   return results;
 }
 
-template std::vector<std::vector<float>> read_fields<float>(mpi::Comm&, h5::File&,
-                                                            std::span<const ReadSpec>,
-                                                            const ReadEngineConfig&,
-                                                            ReadReport*);
-template std::vector<std::vector<double>> read_fields<double>(mpi::Comm&, h5::File&,
-                                                              std::span<const ReadSpec>,
-                                                              const ReadEngineConfig&,
-                                                              ReadReport*);
+template std::vector<std::vector<float>> read_fields<float>(
+    mpi::Comm&, const h5::File&, std::span<const ReadSpec>, const ReadEngineConfig&,
+    ReadReport*);
+template std::vector<std::vector<double>> read_fields<double>(
+    mpi::Comm&, const h5::File&, std::span<const ReadSpec>, const ReadEngineConfig&,
+    ReadReport*);
 
 }  // namespace pcw::core

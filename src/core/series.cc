@@ -93,13 +93,10 @@ class ChainLinkError : public std::runtime_error {
 };
 
 /// Chain-decodes one field's selection into `out` (sel.elements
-/// elements). `tickets`, when non-null, holds the prefetched payloads as
-/// [link][part]; otherwise payloads are fetched synchronously.
+/// elements), fetching each link's payload right before it decodes.
 template <typename T>
-void decode_chain(const h5::File& file, const ChainPlan& plan,
-                  std::vector<std::vector<h5::PayloadTicket>>* tickets,
-                  unsigned threads, sz::VerifyMode verify, std::span<T> out,
-                  SeriesReadReport& report) {
+void decode_chain(const h5::File& file, const ChainPlan& plan, unsigned threads,
+                  sz::VerifyMode verify, std::span<T> out, SeriesReadReport& report) {
   const h5::RegionSelection& sel = plan.sel;
   const std::size_t n_links = plan.chain.size();
   report.steps_chained = std::max<std::uint64_t>(report.steps_chained, n_links);
@@ -116,9 +113,7 @@ void decode_chain(const h5::File& file, const ChainPlan& plan,
       std::vector<std::uint8_t> payload;
       {
         util::trace::StageTimer stage("read", "series", "link", s);
-        payload = tickets != nullptr
-                      ? (*tickets)[s][p].join()
-                      : h5::read_selection_payload(file, *plan.chain[s], ps);
+        payload = h5::read_selection_payload(file, *plan.chain[s], ps);
         report.read_seconds += stage.seconds();
       }
       report.bytes_read += payload.size();
@@ -165,30 +160,35 @@ void decode_chain(const h5::File& file, const ChainPlan& plan,
   report.elements_out += sel.elements;
 }
 
-/// Degraded fallback: re-decodes the *whole field* at the chain's
-/// keyframe step (chain length 1, synchronous fetches — the prefetched
-/// tickets belong to the broken chain) and records the downgrade. The
-/// selection re-uses the broken chain's plan, valid because plan_chain
-/// verified the layout identical along the chain.
+/// Chain-decodes one field. On a corrupt delta link with
+/// config.degraded, re-decodes the *whole field* at the chain's keyframe
+/// step instead and records the downgrade; a corrupt keyframe (link 0)
+/// has nothing older to fall back to and throws. The fallback re-uses the
+/// broken chain's selection, valid because plan_chain verified the
+/// layout identical along the chain.
 template <typename T>
-void decode_keyframe_fallback(const h5::File& file, const ChainPlan& plan,
-                              const ChainLinkError& err, std::uint32_t step,
-                              unsigned threads, sz::VerifyMode verify, std::span<T> out,
-                              SeriesReadReport& report) {
-  const h5::DatasetDesc* keyframe = plan.chain.front();
-  util::metrics::Registry::get().degraded_reads.add();
-  util::trace::instant("degraded_read", "series", "step", step);
-  ChainPlan kplan;
-  kplan.chain = {keyframe};
-  kplan.sel = plan.sel;
-  decode_chain<T>(file, kplan, nullptr, threads, verify, out, report);
-  DegradedRead d;
-  d.dataset = plan.chain[err.link()]->name;
-  d.partition = err.partition();
-  d.step_requested = step;
-  d.step_recovered = keyframe->series_step;
-  d.detail = err.what();
-  report.degraded.push_back(std::move(d));
+void read_chain(const h5::File& file, const ChainPlan& plan, std::uint32_t step,
+                const SeriesReadConfig& config, std::span<T> out,
+                SeriesReadReport& report) {
+  try {
+    decode_chain<T>(file, plan, config.decompress_threads, config.verify, out, report);
+  } catch (const ChainLinkError& err) {
+    if (!config.degraded || err.link() == 0) throw;
+    const h5::DatasetDesc* keyframe = plan.chain.front();
+    util::metrics::Registry::get().degraded_reads.add();
+    util::trace::instant("degraded_read", "series", "step", step);
+    ChainPlan kplan;
+    kplan.chain = {keyframe};
+    kplan.sel = plan.sel;
+    decode_chain<T>(file, kplan, config.decompress_threads, config.verify, out, report);
+    DegradedRead d;
+    d.dataset = plan.chain[err.link()]->name;
+    d.partition = err.partition();
+    d.step_requested = step;
+    d.step_recovered = keyframe->series_step;
+    d.detail = err.what();
+    report.degraded.push_back(std::move(d));
+  }
 }
 
 }  // namespace
@@ -269,11 +269,7 @@ SeriesStepReport SeriesWriter<T>::write_step(mpi::Comm& comm,
     my[f].elem_count = field.local.size();
     my[f].bytes = blob.size();
     my[f].file_offset = file_->alloc(blob.size());
-    if (config_.pipeline) {
-      tickets.push_back(file_->async_write(my[f].file_offset, std::move(blob)));
-    } else {
-      file_->pwrite(my[f].file_offset, blob);
-    }
+    tickets.push_back(file_->async_write(my[f].file_offset, std::move(blob)));
   }
   report.compress_seconds = compress_accum;
 
@@ -333,7 +329,7 @@ SeriesStepReport SeriesWriter<T>::write_step(mpi::Comm& comm,
 }
 
 template <typename T>
-std::vector<std::vector<T>> read_series(mpi::Comm& comm, h5::File& file,
+std::vector<std::vector<T>> read_series(mpi::Comm& comm, const h5::File& file,
                                         std::span<const ReadSpec> specs,
                                         std::uint32_t step,
                                         const SeriesReadConfig& config,
@@ -351,37 +347,10 @@ std::vector<std::vector<T>> read_series(mpi::Comm& comm, h5::File& file,
     }
   }
 
-  // Reverse-Fig.-3 overlap, chained: the payloads of every link of field
-  // f+1's chain stream off disk while field f decodes.
-  const std::size_t nfields = plans.size();
-  std::vector<std::vector<std::vector<h5::PayloadTicket>>> inflight(nfields);
-  std::vector<bool> issued(nfields, false);
-  auto issue = [&](std::size_t f) {
-    if (issued[f]) return;
-    issued[f] = true;
-    inflight[f].reserve(plans[f].chain.size());
-    for (const h5::DatasetDesc* d : plans[f].chain) {
-      inflight[f].push_back(h5::async_read_selection(file, *d, plans[f].sel));
-    }
-  };
-
-  std::vector<std::vector<T>> results(nfields);
-  for (std::size_t f = 0; f < nfields; ++f) {
-    if (config.pipeline) {
-      issue(f);
-      if (f + 1 < nfields) issue(f + 1);
-    }
+  std::vector<std::vector<T>> results(plans.size());
+  for (std::size_t f = 0; f < plans.size(); ++f) {
     results[f].resize(plans[f].sel.elements);
-    try {
-      decode_chain<T>(file, plans[f], config.pipeline ? &inflight[f] : nullptr,
-                      config.decompress_threads, config.verify, results[f], report);
-    } catch (const ChainLinkError& e) {
-      // A corrupt keyframe (link 0) has nothing older to fall back to.
-      if (!config.degraded || e.link() == 0) throw;
-      decode_keyframe_fallback<T>(file, plans[f], e, step, config.decompress_threads,
-                                  config.verify, results[f], report);
-    }
-    inflight[f].clear();
+    read_chain<T>(file, plans[f], step, config, results[f], report);
   }
 
   comm.barrier();
@@ -391,33 +360,19 @@ std::vector<std::vector<T>> read_series(mpi::Comm& comm, h5::File& file,
 }
 
 template <typename T>
-std::vector<T> restart_at_step(h5::File& file, const std::string& field,
+std::vector<T> restart_at_step(const h5::File& file, const std::string& field,
                                std::uint32_t step,
                                const std::optional<sz::Region>& region,
                                const SeriesReadConfig& config,
                                SeriesReadReport* report_out) {
   SeriesReadReport report;
   util::Timer total;
-  ChainPlan plan = plan_chain(file, field, step, region);
+  const ChainPlan plan = plan_chain(file, field, step, region);
   if (plan.chain.back()->dtype != h5::dtype_of<T>()) {
     throw std::runtime_error("series: dtype mismatch for " + field);
   }
-  std::vector<std::vector<h5::PayloadTicket>> inflight;
-  if (config.pipeline) {
-    inflight.reserve(plan.chain.size());
-    for (const h5::DatasetDesc* d : plan.chain) {
-      inflight.push_back(h5::async_read_selection(file, *d, plan.sel));
-    }
-  }
   std::vector<T> out(plan.sel.elements);
-  try {
-    decode_chain<T>(file, plan, config.pipeline ? &inflight : nullptr,
-                    config.decompress_threads, config.verify, out, report);
-  } catch (const ChainLinkError& e) {
-    if (!config.degraded || e.link() == 0) throw;
-    decode_keyframe_fallback<T>(file, plan, e, step, config.decompress_threads,
-                                config.verify, out, report);
-  }
+  read_chain<T>(file, plan, step, config, out, report);
   report.total_seconds = total.seconds();
   if (report_out != nullptr) *report_out = report;
   return out;
@@ -426,20 +381,16 @@ std::vector<T> restart_at_step(h5::File& file, const std::string& field,
 template class SeriesWriter<float>;
 template class SeriesWriter<double>;
 template std::vector<std::vector<float>> read_series<float>(
-    mpi::Comm&, h5::File&, std::span<const ReadSpec>, std::uint32_t,
+    mpi::Comm&, const h5::File&, std::span<const ReadSpec>, std::uint32_t,
     const SeriesReadConfig&, SeriesReadReport*);
 template std::vector<std::vector<double>> read_series<double>(
-    mpi::Comm&, h5::File&, std::span<const ReadSpec>, std::uint32_t,
+    mpi::Comm&, const h5::File&, std::span<const ReadSpec>, std::uint32_t,
     const SeriesReadConfig&, SeriesReadReport*);
-template std::vector<float> restart_at_step<float>(h5::File&, const std::string&,
-                                                   std::uint32_t,
-                                                   const std::optional<sz::Region>&,
-                                                   const SeriesReadConfig&,
-                                                   SeriesReadReport*);
-template std::vector<double> restart_at_step<double>(h5::File&, const std::string&,
-                                                     std::uint32_t,
-                                                     const std::optional<sz::Region>&,
-                                                     const SeriesReadConfig&,
-                                                     SeriesReadReport*);
+template std::vector<float> restart_at_step<float>(
+    const h5::File&, const std::string&, std::uint32_t, const std::optional<sz::Region>&,
+    const SeriesReadConfig&, SeriesReadReport*);
+template std::vector<double> restart_at_step<double>(
+    const h5::File&, const std::string&, std::uint32_t, const std::optional<sz::Region>&,
+    const SeriesReadConfig&, SeriesReadReport*);
 
 }  // namespace pcw::core

@@ -16,8 +16,8 @@
 // the block-indexed partial decode: only the sz blocks intersecting the
 // request are entropy-decoded at *every* link of the chain, so a sparse
 // region read of a late step costs chain_len x (touched blocks), never
-// chain_len x (whole field). Payloads of the whole chain are prefetched
-// on the file's async read queue while earlier links decode.
+// chain_len x (whole field). Each link's payload is fetched right before
+// it decodes — the same fetch -> decode step as core::read_fields.
 //
 // Error bound: every step quantizes its own original against the
 // reconstructed reference, so |x̂_t - x_t| <= eb point-wise at every step
@@ -46,9 +46,6 @@ struct SeriesConfig {
   /// Worker threads for each step's sz compression (Params::threads
   /// semantics). Blob bytes are identical for every value.
   unsigned compress_threads = 1;
-  /// true: payloads land on the file's async write queue so the next
-  /// field's compression overlaps the write. false: synchronous pwrite.
-  bool pipeline = true;
   /// true: every write_step ends with a collective crash-consistent
   /// commit (h5::File::commit_collective), bounding data loss to one
   /// step at the cost of three fsyncs per step. false: data becomes
@@ -104,9 +101,6 @@ struct SeriesReadConfig {
   /// Worker threads for each partition's block decode (sz::Params::threads
   /// semantics). The output is identical for every value.
   unsigned decompress_threads = 1;
-  /// true: the whole chain's payloads are issued on the async read queue
-  /// up front, overlapping I/O with decode. false: synchronous fetches.
-  bool pipeline = true;
   /// Checksum depth applied to every v4 container decoded along the
   /// chain (no-op on v1–v3 blobs).
   sz::VerifyMode verify = sz::VerifyMode::kBlock;
@@ -136,7 +130,7 @@ struct SeriesReadReport {
   std::uint64_t elements_out = 0;
   std::uint64_t blocks_total = 0;    // sz blocks in touched partitions, per link
   std::uint64_t blocks_decoded = 0;  // blocks actually entropy-decoded
-  double read_seconds = 0.0;         // time blocked on payload I/O
+  double read_seconds = 0.0;         // time spent in payload preads
   double decompress_seconds = 0.0;
   double total_seconds = 0.0;
   /// Fields downgraded to their keyframe (SeriesReadConfig::degraded).
@@ -152,7 +146,7 @@ struct SeriesReadReport {
 /// std::invalid_argument on unknown series/steps/bad regions and
 /// std::runtime_error on layout or type mismatches along the chain.
 template <typename T>
-std::vector<std::vector<T>> read_series(mpi::Comm& comm, h5::File& file,
+std::vector<std::vector<T>> read_series(mpi::Comm& comm, const h5::File& file,
                                         std::span<const ReadSpec> specs,
                                         std::uint32_t step,
                                         const SeriesReadConfig& config = {},
@@ -161,7 +155,7 @@ std::vector<std::vector<T>> read_series(mpi::Comm& comm, h5::File& file,
 /// Single-rank convenience: reconstructs one field at `step` (whole field
 /// or a region) — what an analysis script or pcw5ls --verify calls.
 template <typename T>
-std::vector<T> restart_at_step(h5::File& file, const std::string& field,
+std::vector<T> restart_at_step(const h5::File& file, const std::string& field,
                                std::uint32_t step,
                                const std::optional<sz::Region>& region = std::nullopt,
                                const SeriesReadConfig& config = {},

@@ -278,48 +278,6 @@ std::uint64_t selection_payload_bytes(const DatasetDesc& desc,
   return total;
 }
 
-std::vector<std::uint8_t> PayloadTicket::join() {
-  std::vector<std::uint8_t> payload = slot.take();
-  if (overflow.valid()) {
-    const std::vector<std::uint8_t> tail = overflow.take();
-    payload.insert(payload.end(), tail.begin(), tail.end());
-  }
-  if (payload.size() != expect_bytes) {
-    throw std::runtime_error("h5: partition payload size mismatch");
-  }
-  return payload;
-}
-
-std::vector<PayloadTicket> async_read_selection(File& file, const DatasetDesc& desc,
-                                                const RegionSelection& sel) {
-  std::vector<PayloadTicket> tickets;
-  tickets.reserve(sel.parts.size());
-  for (const PartitionSelection& ps : sel.parts) {
-    PayloadTicket t;
-    if (ps.part_index == kContiguousSelection) {
-      // Same metadata consistency gate as the synchronous path, so
-      // corrupt footers throw here instead of reading a neighbour's bytes.
-      if (desc.nbytes != sz::element_count(desc.global_dims) * element_size(desc.dtype)) {
-        throw std::runtime_error("h5: extent mismatch");
-      }
-      const std::uint64_t bytes = (ps.flat_hi - ps.flat_lo) * element_size(desc.dtype);
-      t.slot = file.async_read(desc.file_offset + ps.flat_lo * element_size(desc.dtype),
-                               bytes);
-      t.expect_bytes = bytes;
-    } else {
-      const PartitionRecord& part = desc.partitions[ps.part_index];
-      t.slot = file.async_read(part.file_offset,
-                               std::min(part.actual_bytes, part.reserved_bytes));
-      if (part.overflow_bytes > 0) {
-        t.overflow = file.async_read(part.overflow_offset, part.overflow_bytes);
-      }
-      t.expect_bytes = part.actual_bytes;
-    }
-    tickets.push_back(std::move(t));
-  }
-  return tickets;
-}
-
 std::vector<std::uint8_t> read_selection_payload(const File& file,
                                                  const DatasetDesc& desc,
                                                  const PartitionSelection& ps) {

@@ -119,24 +119,9 @@ RegionSelection plan_region_selection(const DatasetDesc& desc, const sz::Region&
 /// Stored payload bytes executing `sel` will fetch.
 std::uint64_t selection_payload_bytes(const DatasetDesc& desc, const RegionSelection& sel);
 
-/// In-flight partition payload: slot plus optional overflow tail on the
-/// file's async queue; join() assembles and validates the payload,
-/// moving the bytes out of the tickets (one-shot).
-struct PayloadTicket {
-  ReadTicket slot;
-  ReadTicket overflow;  // invalid when the partition has no overflow
-  std::uint64_t expect_bytes = 0;
-  std::vector<std::uint8_t> join();
-};
-
-/// Issues the async payload reads one planned selection needs, in
-/// sel.parts order (a contiguous pseudo-partition reads only its hull).
-std::vector<PayloadTicket> async_read_selection(File& file, const DatasetDesc& desc,
-                                                const RegionSelection& sel);
-
-/// Synchronous counterpart: fetches one planned partition's payload on
-/// the calling thread (no async queue) — the read engine's strictly
-/// serial baseline and read_region's fetch path.
+/// Fetches one planned partition's payload on the calling thread — the
+/// fetch step of every region, restart and series-chain read. Throws on a
+/// payload size or extent mismatch.
 std::vector<std::uint8_t> read_selection_payload(const File& file,
                                                  const DatasetDesc& desc,
                                                  const PartitionSelection& ps);
@@ -154,8 +139,8 @@ void scatter_selection_part(const DatasetDesc& desc, const RegionSelection& sel,
                             sz::VerifyMode verify = sz::VerifyMode::kBlock);
 
 /// Reads one hyperslab of a dataset, decoding only what the selection
-/// needs (synchronous; the pipelined multi-field version is
-/// core::read_fields). `sz_params.threads` fans the block decode out.
+/// needs (the multi-field, multi-rank version is core::read_fields).
+/// `sz_params.threads` fans the block decode out.
 template <typename T>
 std::vector<T> read_region(const File& file, const std::string& name,
                            const sz::Region& region, const sz::Params& sz_params = {},

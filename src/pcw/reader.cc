@@ -86,11 +86,9 @@ void merge_read_report(const core::ReadReport& r, ReadReport& out) {
 
 Result<Reader> Reader::open(const std::string& path, ReaderOptions options) {
   return detail::guarded([&] {
-    h5::FileOptions fopts;
-    fopts.async_threads = options.async_threads;
     Reader reader;
     reader.impl_ = std::make_shared<Impl>();
-    reader.impl_->file = h5::File::open(path, fopts);
+    reader.impl_->file = h5::File::open(path);
     reader.impl_->options = options;
     reader.impl_->telemetry_base = util::metrics::snapshot();
     return reader;
@@ -216,7 +214,6 @@ Result<std::vector<std::vector<T>>> Reader::read_fields(
     }
     core::ReadEngineConfig config;
     config.decompress_threads = impl_->options.decompress_threads;
-    config.pipeline = impl_->options.pipeline;
     config.verify = to_sz_verify(impl_->options.verify);
     core::ReadReport core_report;
     std::vector<std::vector<T>> out =

@@ -12,7 +12,6 @@ core::SeriesConfig to_core(const SeriesOptions& o) {
   core::SeriesConfig config;
   config.keyframe_interval = o.keyframe_interval;
   config.compress_threads = o.compress_threads;
-  config.pipeline = o.pipeline;
   config.commit_every_step = o.commit_every_step;
   return config;
 }
@@ -29,7 +28,6 @@ sz::VerifyMode to_core(VerifyMode mode) {
 core::SeriesReadConfig to_core(const SeriesReadOptions& o) {
   core::SeriesReadConfig config;
   config.decompress_threads = o.decompress_threads;
-  config.pipeline = o.pipeline;
   config.verify = to_core(o.verify);
   config.degraded = o.degraded;
   return config;

@@ -94,7 +94,6 @@ void write_typed(mpi::Comm& comm, h5::File& file, const WriterOptions& options,
 Result<Writer> Writer::create(const std::string& path, WriterOptions options) {
   return detail::guarded([&] {
     h5::FileOptions fopts;
-    fopts.async_threads = options.async_threads;
     fopts.atomic_create = options.atomic_create;
     fopts.write_retries = options.write_retries;
     Writer writer;

@@ -118,7 +118,7 @@ struct Registry {
   Counter io_read_bytes;
   Counter io_syncs;
   Counter io_write_retries;   // transient-failure retries on the async queue
-  Counter io_async_enqueues;  // async_write/async_read submissions
+  Counter io_async_enqueues;  // async_write submissions (reads are synchronous)
   Gauge io_queue_depth;       // in-flight async ops (value + high-water)
   Histogram io_write_ns;      // per-pwrite latency
   // fault injection (util::fault): ops observed while a plan was armed

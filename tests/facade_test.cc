@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -18,6 +19,12 @@
 namespace {
 
 using namespace pcw;
+
+/// OS threads of this process (one /proc/self/task entry each).
+std::size_t os_thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
 
 std::string temp_path(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
@@ -124,6 +131,22 @@ TEST(FacadeTest, RegionReadMatchesSliceOfFullRead) {
   EXPECT_GT(report.blocks_total, report.blocks_decoded);
   EXPECT_EQ(report.partitions_read, 1u);
   EXPECT_GT(report.bytes_read, 0u);
+}
+
+TEST(FacadeTest, ReaderOpensStartNoThreads) {
+  Checkpoint cp("facade_open_threads.pcw5");
+  ASSERT_TRUE(cp.write().ok());
+  const std::size_t before = os_thread_count();
+  std::vector<Reader> readers;
+  for (int i = 0; i < 4; ++i) {
+    Result<Reader> reader = Reader::open(cp.path);
+    ASSERT_TRUE(reader.ok());
+    readers.push_back(std::move(*reader));
+  }
+  // Exited writer/rank threads may still be leaving /proc when `before`
+  // is taken, so the count may drop — it must never grow.
+  EXPECT_LE(os_thread_count(), before);
+  EXPECT_TRUE(readers.back().valid());
 }
 
 TEST(FacadeTest, ParallelReadFieldsMatchesWholeRead) {

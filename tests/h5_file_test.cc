@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
+#include <memory>
 
 #include "data/workloads.h"
 #include "h5/dataset_io.h"
@@ -13,6 +15,12 @@
 
 namespace pcw::h5 {
 namespace {
+
+/// OS threads of this process (one /proc/self/task entry each).
+std::size_t os_thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
 
 class H5FileTest : public ::testing::Test {
  protected:
@@ -142,6 +150,20 @@ TEST_F(H5FileTest, ReadOnlyFileRejectsWrites) {
   EXPECT_THROW(file->alloc(10), std::runtime_error);
   EXPECT_THROW(file->pwrite(0, std::vector<std::uint8_t>{1}), std::runtime_error);
   EXPECT_THROW(file->async_write(0, {1}), std::runtime_error);
+}
+
+TEST_F(H5FileTest, ReadOnlyOpensStartNoThreads) {
+  {
+    auto file = File::create(path());
+    file->close_single();
+  }
+  const std::size_t before = os_thread_count();
+  std::vector<std::shared_ptr<File>> opened;
+  for (int i = 0; i < 4; ++i) opened.push_back(File::open(path()));
+  // The writer's joined queue thread may still be leaving /proc when
+  // `before` is taken, so the count may drop — it must never grow.
+  EXPECT_LE(os_thread_count(), before);
+  EXPECT_EQ(opened.size(), 4u);
 }
 
 // ------------------------------------------------------------ filters ----

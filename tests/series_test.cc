@@ -1,5 +1,5 @@
 // Series-engine coverage: write_step/read_series/restart_at_step across
-// rank counts, keyframe intervals, pipeline modes, regions, and error
+// rank counts, keyframe intervals, decode thread counts, regions, and error
 // paths. The load-bearing properties: every step honours the error bound
 // (no accumulation along chains), restart_at_step is bit-identical to a
 // from-scratch chain of full decodes, and sparse region reads chain-
@@ -214,8 +214,8 @@ TEST(Series, ReadSeriesCollectiveAndRepartitioned) {
   }
 }
 
-TEST(Series, PipelineOffAndThreadsNeverChangeBytes) {
-  TempFile tmp("pipe");
+TEST(Series, DecodeThreadsNeverChangeBytes) {
+  TempFile tmp("threads");
   const sz::Dims global = sz::Dims::make_3d(32, 32, 32);
   SeriesConfig cfg;
   cfg.keyframe_interval = 4;
@@ -225,16 +225,12 @@ TEST(Series, PipelineOffAndThreadsNeverChangeBytes) {
   SeriesReadConfig base_cfg;
   const auto want = restart_at_step<float>(*file, "baryon_density", 5, std::nullopt,
                                            base_cfg);
-  for (const bool pipeline : {false, true}) {
-    for (const unsigned threads : {1u, 4u}) {
-      SeriesReadConfig rc;
-      rc.pipeline = pipeline;
-      rc.decompress_threads = threads;
-      const auto got =
-          restart_at_step<float>(*file, "baryon_density", 5, std::nullopt, rc);
-      EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
-          << "pipeline=" << pipeline << " threads=" << threads;
-    }
+  for (const unsigned threads : {1u, 4u}) {
+    SeriesReadConfig rc;
+    rc.decompress_threads = threads;
+    const auto got = restart_at_step<float>(*file, "baryon_density", 5, std::nullopt, rc);
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(), got.size() * sizeof(float)))
+        << "threads=" << threads;
   }
 }
 
