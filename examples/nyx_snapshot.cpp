@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
 
   const Dims global = Dims::make_3d(edge, edge, edge);
   const auto dec = data::decompose(global, ranks);
-  const Dims local = as_dims(dec.local);
+  const Dims local = dec.local;
   std::printf("Nyx snapshot %zu^3, %d ranks, 6 fields, paper error bounds\n\n", edge,
               ranks);
 

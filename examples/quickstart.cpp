@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   // A 128^3 cosmology-like density field, block-decomposed over 8 ranks.
   const Dims global = Dims::make_3d(128, 128, 128);
   const auto dec = data::decompose(global, ranks);
-  const Dims local = as_dims(dec.local);
+  const Dims local = dec.local;
   std::printf("domain %zux%zux%zu -> %d ranks of %zux%zux%zu\n", global.d0, global.d1,
               global.d2, ranks, local.d0, local.d1, local.d2);
 

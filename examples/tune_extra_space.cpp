@@ -20,7 +20,7 @@ int main() {
   const int ranks = 8;
   const Dims global = Dims::make_3d(64, 64, 64);
   const auto dec = data::decompose(global, ranks);
-  const Dims local = as_dims(dec.local);
+  const Dims local = dec.local;
 
   // Velocity fields compress past 32x here, so the Eq.-(3) boosted regime
   // is exercised alongside the normal one.

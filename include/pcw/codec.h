@@ -82,8 +82,6 @@ Result<CodecInfo> find_codec(std::uint32_t filter_id);
 
 // ---- per-field codec selection --------------------------------------------
 
-enum class ErrorBoundMode : std::uint8_t { kAbsolute = 0, kRelative = 1 };
-
 /// Which codec a field is stored with, plus its knobs. Builder-style
 /// setters chain: CodecOptions().with_error_bound(1e-3).with_relative().
 /// Only the knobs the selected codec understands apply (sz reads the

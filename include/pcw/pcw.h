@@ -22,5 +22,5 @@
 #include "pcw/series.h"    // SeriesWriter, restart(), read_series()
 #include "pcw/status.h"    // Status, Result<T>
 #include "pcw/telemetry.h" // Telemetry, tracing control plane
-#include "pcw/types.h"     // DType, Dims, Region, FieldView
+#include "pcw/types.h"     // DType, Dims, Region, FieldView, mode enums
 #include "pcw/writer.h"    // Writer, Field, WriterOptions

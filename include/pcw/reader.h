@@ -20,15 +20,6 @@
 
 namespace pcw {
 
-/// Checksum depth applied while decoding v4 containers (a no-op on blobs
-/// from earlier format versions, which carry no checksums).
-enum class VerifyMode : std::uint8_t {
-  kOff = 0,    // trust the bytes; fastest
-  kBlob = 1,   // header + whole-payload CRC in one pass, before any decode
-  kBlock = 2,  // header + codebook + per-decoded-block CRCs (partial reads
-               // verify only the blocks they touch); the default
-};
-
 struct ReaderOptions {
   /// Worker threads per partition block decode (0 = all hardware threads).
   unsigned decompress_threads = 1;
@@ -39,8 +30,6 @@ struct ReaderOptions {
   ReaderOptions& with_decompress_threads(unsigned n) { decompress_threads = n; return *this; }
   ReaderOptions& with_verify(VerifyMode mode) { verify = mode; return *this; }
 };
-
-enum class Layout : std::uint8_t { kContiguous = 0, kPartitioned = 1 };
 
 /// One rank's stored slice of a partitioned dataset.
 struct PartitionInfo {
@@ -94,12 +83,6 @@ struct ReadReport {
 };
 
 // ---- scrub (offline damage audit) -----------------------------------------
-
-enum class ScrubHealth : std::uint8_t {
-  kClean = 0,       // every check passed
-  kDamaged = 1,     // some payload failed verification (or its chain did)
-  kUnreadable = 2,  // no payload byte of the dataset could even be read
-};
 
 struct ScrubDataset {
   std::string name;

@@ -1,10 +1,18 @@
 // pcw public API — shared value types.
 //
-// These mirror the engine's internal extent/region/dtype types with
-// plain, dependency-free definitions so installed headers stand alone;
-// the façade converts at the boundary. A FieldView is the type-erased
-// handle the whole surface trades in: a dtype tag, a raw byte span, and
-// logical extents — no per-call-site templating on the element type.
+// The one definition of every value type the application, the façade and
+// the engine trade in: extents, regions, element type, write/verify modes,
+// layout and scrub health. The engine layers alias these (sz::Dims is
+// pcw::Dims, h5::DataType is pcw::DType, ...), so a dataset description
+// passes from the application through the prediction model, the
+// compressor and the container format without a conversion. The header is
+// dependency-free so the installed copy stands alone. A FieldView is the
+// type-erased handle the whole surface trades in: a dtype tag, a raw byte
+// span, and logical extents — no per-call-site templating on the element
+// type.
+//
+// The numeric values of DType and Layout are written to disk (h5/format.h
+// pins them); never renumber an enumerator.
 #pragma once
 
 #include <array>
@@ -12,6 +20,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace pcw {
@@ -70,9 +79,56 @@ struct Region {
     return Dims{hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]};
   }
 
-  std::size_t count() const { return empty() ? 0 : extents().count(); }
+  /// Element count, overflow-checked: regions can come from untrusted
+  /// extents, and a wrapped product must not size a small allocation.
+  std::size_t count() const {
+    if (empty()) return 0;
+    const Dims e = extents();
+    std::size_t n = 0;
+    if (__builtin_mul_overflow(e.d0, e.d1, &n) || __builtin_mul_overflow(n, e.d2, &n)) {
+      throw std::overflow_error("pcw: region element count overflows size_t");
+    }
+    return n;
+  }
 
   bool operator==(const Region&) const = default;
+};
+
+/// The four write paths of the paper's Fig. 4.
+enum class WriteMode : std::uint8_t {
+  kNoCompression = 0,     // independent raw writes (baseline 1)
+  kFilterCollective = 1,  // compress -> size exchange -> collective write
+  kOverlap = 2,           // predictive offsets + async overlap
+  kOverlapReorder = 3,    // kOverlap + Algorithm-1 compression reordering
+};
+
+const char* to_string(WriteMode mode);
+
+enum class ErrorBoundMode : std::uint8_t {
+  kAbsolute = 0,  // |recon - orig| <= error_bound
+  kRelative = 1,  // |recon - orig| <= error_bound * (max - min)
+};
+
+/// Checksum depth applied while decoding v4 containers (a no-op on blobs
+/// from earlier format versions, which carry no checksums).
+enum class VerifyMode : std::uint8_t {
+  kOff = 0,    // trust the bytes; fastest
+  kBlob = 1,   // header + whole-payload CRC in one pass, before any decode
+  kBlock = 2,  // header + codebook + per-decoded-block CRCs (partial reads
+               // verify only the blocks they touch); the default
+};
+
+/// How a dataset's bytes sit in the file.
+enum class Layout : std::uint8_t {
+  kContiguous = 0,   // one extent, uncompressed
+  kPartitioned = 1,  // per-rank partitions, possibly filtered
+};
+
+/// Outcome of scrubbing one dataset.
+enum class ScrubHealth : std::uint8_t {
+  kClean = 0,       // every check passed
+  kDamaged = 1,     // some payload failed verification (or its chain did)
+  kUnreadable = 2,  // no payload byte of the dataset could even be read
 };
 
 /// Type-erased read-only view of one field's elements: dtype tag + byte

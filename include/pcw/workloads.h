@@ -3,39 +3,10 @@
 //
 // In-tree convenience surface: re-exports the library's data layer so
 // examples/tools/bench compile against "pcw/" headers only. Not part of
-// the installed API (see docs/public_api.md).
+// the installed API (see docs/public_api.md). The generators take
+// pcw::Dims directly (the data layer's extent type is the public one).
 #pragma once
 
 #include "data/noise.h"      // IWYU pragma: export
 #include "data/workloads.h"  // IWYU pragma: export
-#include "pcw/bridge.h"      // IWYU pragma: export
 #include "pcw/types.h"
-
-namespace pcw::data {
-
-// Façade-typed overloads, so code written against pcw::Dims drives the
-// generators without spelling the internal extent type.
-
-inline void fill_nyx_field(std::span<float> out, const pcw::Dims& local,
-                           const std::array<std::size_t, 3>& origin,
-                           const pcw::Dims& global, NyxField field, std::uint64_t seed,
-                           double time = 0.0) {
-  fill_nyx_field(out, as_internal(local), origin, as_internal(global), field, seed,
-                 time);
-}
-
-inline std::vector<float> make_nyx_field(const pcw::Dims& global, NyxField field,
-                                         std::uint64_t seed, double time = 0.0) {
-  return make_nyx_field(as_internal(global), field, seed, time);
-}
-
-inline std::vector<float> make_rtm_field(const pcw::Dims& global, std::uint64_t seed,
-                                         double time = 0.4) {
-  return make_rtm_field(as_internal(global), seed, time);
-}
-
-inline BlockDecomposition decompose(const pcw::Dims& global, int nranks) {
-  return decompose(as_internal(global), nranks);
-}
-
-}  // namespace pcw::data

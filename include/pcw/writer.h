@@ -21,16 +21,6 @@
 
 namespace pcw {
 
-/// The four write paths of the paper's Fig. 4.
-enum class WriteMode : std::uint8_t {
-  kNoCompression = 0,     // independent raw writes (baseline 1)
-  kFilterCollective = 1,  // compress -> size exchange -> collective write
-  kOverlap = 2,           // predictive offsets + async overlap
-  kOverlapReorder = 3,    // kOverlap + Algorithm-1 compression reordering
-};
-
-const char* to_string(WriteMode mode);
-
 struct WriterOptions {
   WriteMode mode = WriteMode::kOverlapReorder;
   /// Extra-space ratio R_space reserved over predicted compressed sizes.

@@ -248,16 +248,6 @@ RankReport run_overlap(mpi::Comm& comm, h5::File& file,
 
 }  // namespace
 
-const char* to_string(WriteMode mode) {
-  switch (mode) {
-    case WriteMode::kNoCompression: return "no-compression";
-    case WriteMode::kFilterCollective: return "filter-collective";
-    case WriteMode::kOverlap: return "overlap";
-    case WriteMode::kOverlapReorder: return "overlap+reorder";
-  }
-  return "?";
-}
-
 template <typename T>
 RankReport write_fields(mpi::Comm& comm, h5::File& file,
                         std::span<const FieldSpec<T>> fields,

@@ -29,18 +29,13 @@
 #include "model/ratio_model.h"
 #include "model/throughput_model.h"
 #include "mpi/comm.h"
+#include "pcw/types.h"
 #include "sz/compressor.h"
 
 namespace pcw::core {
 
-enum class WriteMode {
-  kNoCompression = 0,
-  kFilterCollective = 1,
-  kOverlap = 2,
-  kOverlapReorder = 3,
-};
-
-const char* to_string(WriteMode mode);
+/// The paper's four write paths (pcw/types.h; pcw::to_string names them).
+using WriteMode = pcw::WriteMode;
 
 /// One field (dataset) as seen by one rank.
 template <typename T>

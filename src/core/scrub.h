@@ -16,14 +16,11 @@
 #include <vector>
 
 #include "h5/file.h"
+#include "pcw/types.h"
 
 namespace pcw::core {
 
-enum class DatasetHealth : std::uint8_t {
-  kClean = 0,       // every check passed
-  kDamaged = 1,     // some payload failed verification (or its chain did)
-  kUnreadable = 2,  // no payload byte of the dataset could even be read
-};
+using DatasetHealth = pcw::ScrubHealth;
 
 struct DatasetScrub {
   std::string name;

@@ -97,8 +97,14 @@ std::vector<DatasetDesc> parse_footer(const std::vector<std::uint8_t>& bytes,
   for (std::uint32_t i = 0; i < n; ++i) {
     DatasetDesc d;
     d.name = get_string(bytes, pos);
-    d.dtype = static_cast<DataType>(get<std::uint8_t>(bytes, pos));
-    d.layout = static_cast<Layout>(get<std::uint8_t>(bytes, pos));
+    // Legacy footers carry no CRC and a crafted one can carry a valid
+    // CRC, so the enum bytes are range-checked before they are cast.
+    const auto dtype = get<std::uint8_t>(bytes, pos);
+    const auto layout = get<std::uint8_t>(bytes, pos);
+    if (dtype > kMaxDataType) throw std::runtime_error("h5: corrupt footer (bad dtype)");
+    if (layout > kMaxLayout) throw std::runtime_error("h5: corrupt footer (bad layout)");
+    d.dtype = static_cast<DataType>(dtype);
+    d.layout = static_cast<Layout>(layout);
     d.filter = static_cast<FilterId>(get<std::uint32_t>(bytes, pos));
     d.global_dims.d0 = get<std::uint64_t>(bytes, pos);
     d.global_dims.d1 = get<std::uint64_t>(bytes, pos);

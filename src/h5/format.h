@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "pcw/types.h"
 #include "sz/dims.h"
 
 namespace pcw::h5 {
@@ -47,34 +48,22 @@ inline constexpr std::uint32_t kFooterMagic = 0x46574350;  // "PCWF"
 /// magic u32.
 inline constexpr std::uint64_t kFooterTrailerBytes = 20;
 
-enum class DataType : std::uint8_t { kFloat32 = 0, kFloat64 = 1, kBytes = 2 };
+/// Element type and layout tags are the public ones (pcw/types.h). Their
+/// numeric values are the bytes each dataset record stores, so they are
+/// pinned here: renumbering an enumerator would silently change the file
+/// format.
+using DataType = pcw::DType;
+using Layout = pcw::Layout;
+using pcw::dtype_of;
+using pcw::element_size;
 
-/// Maps an element type to its h5lite tag; shared by dataset_io and the
-/// engine (was copy-pasted per translation unit).
-template <typename T>
-constexpr DataType dtype_of();
-template <>
-constexpr DataType dtype_of<float>() {
-  return DataType::kFloat32;
-}
-template <>
-constexpr DataType dtype_of<double>() {
-  return DataType::kFloat64;
-}
-
-inline std::size_t element_size(DataType t) {
-  switch (t) {
-    case DataType::kFloat32: return 4;
-    case DataType::kFloat64: return 8;
-    case DataType::kBytes: return 1;
-  }
-  return 1;
-}
-
-enum class Layout : std::uint8_t {
-  kContiguous = 0,    // one extent, uncompressed
-  kPartitioned = 1,   // per-rank partitions, possibly filtered
-};
+static_assert(static_cast<std::uint8_t>(DataType::kFloat32) == 0);
+static_assert(static_cast<std::uint8_t>(DataType::kFloat64) == 1);
+static_assert(static_cast<std::uint8_t>(DataType::kBytes) == 2);
+inline constexpr std::uint8_t kMaxDataType = 2;
+static_assert(static_cast<std::uint8_t>(Layout::kContiguous) == 0);
+static_assert(static_cast<std::uint8_t>(Layout::kPartitioned) == 1);
+inline constexpr std::uint8_t kMaxLayout = 1;
 
 enum class FilterId : std::uint32_t {
   kNone = 0,

@@ -101,7 +101,7 @@ RatioEstimate estimate_ratio(std::span<const T> data, const sz::Dims& dims,
   const std::size_t total = dims.count();
 
   // Block grid.
-  const bool is_multidim = dims.rank() >= 2;
+  const bool is_multidim = (dims.d0 > 1) + (dims.d1 > 1) + (dims.d2 > 1) >= 2;
   const std::size_t bx = is_multidim ? std::min(config.block_edge, dims.d0) : 1;
   const std::size_t by = is_multidim ? std::min(config.block_edge, dims.d1) : 1;
   const std::size_t bz =

@@ -28,16 +28,16 @@ class RegisteredCodecFilter final : public h5::Filter {
                                    h5::DataType dtype,
                                    const sz::Dims& dims) const override {
     FieldView view;
-    view.dtype = detail::from_h5(dtype);
+    view.dtype = dtype;
     view.bytes = raw;
-    view.dims = detail::from_sz(dims);
+    view.dims = dims;
     return codec_->encode(view);
   }
 
   std::vector<std::uint8_t> decode(std::span<const std::uint8_t> blob,
                                    h5::DataType dtype,
                                    std::uint64_t expect_elems) const override {
-    return codec_->decode(blob, detail::from_h5(dtype), expect_elems);
+    return codec_->decode(blob, dtype, expect_elems);
   }
 
  private:
@@ -108,8 +108,7 @@ Result<std::vector<std::uint8_t>> encode_blob(const FieldView& field,
     params.sz = detail::to_sz_params(options);
     params.zfp = detail::to_zfp_params(options);
     const auto filter = h5::CodecRegistry::instance().make(options.filter_id, params);
-    return filter->encode(field.bytes, detail::to_h5(field.dtype),
-                          detail::to_sz(field.dims));
+    return filter->encode(field.bytes, field.dtype, field.dims);
   });
 }
 
@@ -118,16 +117,14 @@ Result<DecodedBlob> decode_blob(std::span<const std::uint8_t> blob,
   return detail::guarded([&] {
     DecodedBlob out;
     if (is_zfp_blob(blob)) {
-      sz::Dims dims;
-      const std::vector<float> vals = zfp::decompress(blob, &dims);
+      const std::vector<float> vals = zfp::decompress(blob, &out.dims);
       out.dtype = DType::kFloat32;
-      out.dims = detail::from_sz(dims);
       out.bytes = take_bytes(vals.data(), vals.size() * sizeof(float));
       return out;
     }
     const sz::HeaderInfo info = sz::inspect(blob);
     out.dtype = detail::from_sz(info.dtype);
-    out.dims = detail::from_sz(info.dims);
+    out.dims = info.dims;
     if (info.temporal_blocks > 0 && prev.bytes.empty()) {
       throw detail::FailedPreconditionError(
           "codec: blob holds temporal blocks; decoding needs the reconstructed "
@@ -157,19 +154,17 @@ Result<BlobInfo> inspect_blob(std::span<const std::uint8_t> blob) {
   return detail::guarded([&] {
     BlobInfo out;
     if (is_zfp_blob(blob)) {
-      sz::Dims dims;
-      (void)zfp::decompress(blob, &dims);  // validates and yields extents
+      (void)zfp::decompress(blob, &out.dims);  // validates and yields extents
       out.filter_id = kCodecZfp;
       out.codec = "zfp";
       out.dtype = DType::kFloat32;
-      out.dims = detail::from_sz(dims);
       return out;
     }
     const sz::HeaderInfo info = sz::inspect(blob);
     out.filter_id = kCodecSz;
     out.codec = "sz";
     out.dtype = detail::from_sz(info.dtype);
-    out.dims = detail::from_sz(info.dims);
+    out.dims = info.dims;
     out.abs_error_bound = info.abs_error_bound;
     out.radius = info.radius;
     out.outlier_count = info.outlier_count;

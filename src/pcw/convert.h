@@ -1,6 +1,7 @@
-// Internal glue for the pcw:: façade: conversions between the public
-// value types (pcw/types.h) and the engine's internal ones, plus the
-// exception → Status boundary every façade entry point funnels through.
+// Internal glue for the pcw:: façade: codec-option mapping, the typed ↔
+// byte-vector helpers, and the exception → Status boundary every façade
+// entry point funnels through. The value types need no conversion: the
+// engine aliases the public ones (pcw/types.h).
 #pragma once
 
 #include <cstring>
@@ -11,49 +12,23 @@
 #include <utility>
 #include <vector>
 
-#include "h5/format.h"
-#include "pcw/bridge.h"
 #include "pcw/codec.h"
 #include "pcw/status.h"
 #include "pcw/types.h"
 #include "sz/compressor.h"
-#include "sz/dims.h"
 #include "util/io_error.h"
 #include "zfp/zfp.h"
 
 namespace pcw::detail {
 
-// Extent/region conversions delegate to the single authority in
-// pcw/bridge.h (the toolkit header the in-tree consumers use too).
-inline sz::Dims to_sz(const Dims& d) { return as_internal(d); }
-inline Dims from_sz(const sz::Dims& d) { return as_dims(d); }
-inline sz::Region to_sz(const Region& r) { return as_internal(r); }
-inline Region from_sz(const sz::Region& r) { return as_region(r); }
-
-inline h5::DataType to_h5(DType t) {
-  switch (t) {
-    case DType::kFloat32: return h5::DataType::kFloat32;
-    case DType::kFloat64: return h5::DataType::kFloat64;
-    case DType::kBytes: return h5::DataType::kBytes;
-  }
-  return h5::DataType::kBytes;
-}
-inline DType from_h5(h5::DataType t) {
-  switch (t) {
-    case h5::DataType::kFloat32: return DType::kFloat32;
-    case h5::DataType::kFloat64: return DType::kFloat64;
-    case h5::DataType::kBytes: return DType::kBytes;
-  }
-  return DType::kBytes;
-}
+/// sz's element-type tag is narrower than DType (no kBytes).
 inline DType from_sz(sz::DataType t) {
   return t == sz::DataType::kFloat32 ? DType::kFloat32 : DType::kFloat64;
 }
 
 inline sz::Params to_sz_params(const CodecOptions& c) {
   sz::Params p;
-  p.mode = c.mode == ErrorBoundMode::kRelative ? sz::ErrorBoundMode::kRelative
-                                               : sz::ErrorBoundMode::kAbsolute;
+  p.mode = c.mode;
   p.error_bound = c.error_bound;
   p.radius = c.radius;
   p.lossless = c.lossless;

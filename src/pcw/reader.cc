@@ -13,22 +13,12 @@
 namespace pcw {
 namespace {
 
-sz::VerifyMode to_sz_verify(VerifyMode mode) {
-  switch (mode) {
-    case VerifyMode::kOff: return sz::VerifyMode::kOff;
-    case VerifyMode::kBlob: return sz::VerifyMode::kBlob;
-    case VerifyMode::kBlock: return sz::VerifyMode::kBlock;
-  }
-  return sz::VerifyMode::kBlock;
-}
-
 DatasetInfo info_of(const h5::DatasetDesc& d) {
   DatasetInfo info;
   info.name = d.name;
-  info.dtype = detail::from_h5(d.dtype);
-  info.dims = detail::from_sz(d.global_dims);
-  info.layout =
-      d.layout == h5::Layout::kContiguous ? Layout::kContiguous : Layout::kPartitioned;
+  info.dtype = d.dtype;
+  info.dims = d.global_dims;
+  info.layout = d.layout;
   info.filter_id = static_cast<std::uint32_t>(d.filter);
   info.error_bound = d.abs_error_bound;
   if (d.layout == h5::Layout::kContiguous) {
@@ -61,9 +51,9 @@ const h5::DatasetDesc& resolve(const h5::File& file, const std::string& name,
                                DType expected) {
   const h5::DatasetDesc* desc = file.find_dataset(name);
   if (desc == nullptr) throw std::invalid_argument("h5: no dataset named " + name);
-  if (detail::from_h5(desc->dtype) != expected) {
+  if (desc->dtype != expected) {
     throw std::invalid_argument("dataset '" + name + "' holds " +
-                                std::string(to_string(detail::from_h5(desc->dtype))) +
+                                std::string(to_string(desc->dtype)) +
                                 ", requested " + to_string(expected));
   }
   return *desc;
@@ -141,7 +131,7 @@ Result<std::vector<T>> Reader::read(const std::string& name) const {
     resolve(*impl_->file, name, dtype_of<T>());
     sz::Params params;
     params.threads = impl_->options.decompress_threads;
-    params.verify = to_sz_verify(impl_->options.verify);
+    params.verify = impl_->options.verify;
     return h5::read_dataset<T>(*impl_->file, name, params);
   });
 }
@@ -164,11 +154,11 @@ Result<std::vector<T>> Reader::read_region(const std::string& name, const Region
     resolve(*impl_->file, name, dtype_of<T>());
     sz::Params params;
     params.threads = impl_->options.decompress_threads;
-    params.verify = to_sz_verify(impl_->options.verify);
+    params.verify = impl_->options.verify;
     util::Timer total;
     h5::RegionReadStats stats;
     std::vector<T> out =
-        h5::read_region<T>(*impl_->file, name, detail::to_sz(region), params, &stats);
+        h5::read_region<T>(*impl_->file, name, region, params, &stats);
     if (report != nullptr) {
       report->total_seconds += total.seconds();
       report->bytes_read += stats.payload_bytes;
@@ -209,12 +199,12 @@ Result<std::vector<std::vector<T>>> Reader::read_fields(
       resolve(*impl_->file, req.name, dtype_of<T>());
       core::ReadSpec spec;
       spec.name = req.name;
-      if (req.region) spec.region.emplace(detail::to_sz(*req.region));
+      spec.region = req.region;
       specs.push_back(std::move(spec));
     }
     core::ReadEngineConfig config;
     config.decompress_threads = impl_->options.decompress_threads;
-    config.verify = to_sz_verify(impl_->options.verify);
+    config.verify = impl_->options.verify;
     core::ReadReport core_report;
     std::vector<std::vector<T>> out =
         core::read_fields<T>(rank.impl().comm, *impl_->file, specs, config, &core_report);
@@ -286,7 +276,7 @@ Result<ScrubReport> Reader::scrub(bool deep) const {
     for (const core::DatasetScrub& d : core.datasets) {
       ScrubDataset s;
       s.name = d.name;
-      s.state = static_cast<ScrubHealth>(d.state);
+      s.state = d.state;
       s.salvageable = d.salvageable;
       s.partitions = d.partitions;
       s.damaged_partitions = d.damaged_partitions;
@@ -298,7 +288,7 @@ Result<ScrubReport> Reader::scrub(bool deep) const {
 }
 
 Region restart_region(const Dims& global, int rank, int nranks) {
-  return detail::from_sz(core::restart_region(detail::to_sz(global), rank, nranks));
+  return core::restart_region(global, rank, nranks);
 }
 
 }  // namespace pcw

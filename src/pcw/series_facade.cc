@@ -16,19 +16,10 @@ core::SeriesConfig to_core(const SeriesOptions& o) {
   return config;
 }
 
-sz::VerifyMode to_core(VerifyMode mode) {
-  switch (mode) {
-    case VerifyMode::kOff: return sz::VerifyMode::kOff;
-    case VerifyMode::kBlob: return sz::VerifyMode::kBlob;
-    case VerifyMode::kBlock: return sz::VerifyMode::kBlock;
-  }
-  return sz::VerifyMode::kBlock;
-}
-
 core::SeriesReadConfig to_core(const SeriesReadOptions& o) {
   core::SeriesReadConfig config;
   config.decompress_threads = o.decompress_threads;
-  config.verify = to_core(o.verify);
+  config.verify = o.verify;
   config.degraded = o.degraded;
   return config;
 }
@@ -85,8 +76,8 @@ std::vector<core::FieldSpec<T>> to_specs(std::span<const Field> fields) {
     spec.name = f.name;
     spec.local = {reinterpret_cast<const T*>(f.local.bytes.data()),
                   f.local.bytes.size() / sizeof(T)};
-    spec.local_dims = detail::to_sz(f.local.dims);
-    spec.global_dims = detail::to_sz(f.global_dims);
+    spec.local_dims = f.local.dims;
+    spec.global_dims = f.global_dims;
     spec.params = detail::to_sz_params(f.codec);
     specs.push_back(spec);
   }
@@ -99,7 +90,7 @@ std::vector<core::ReadSpec> to_read_specs(std::span<const ReadRequest> requests)
   for (const ReadRequest& req : requests) {
     core::ReadSpec spec;
     spec.name = req.name;
-    if (req.region) spec.region.emplace(detail::to_sz(*req.region));
+    spec.region = req.region;
     specs.push_back(std::move(spec));
   }
   return specs;
@@ -179,12 +170,9 @@ Result<std::vector<T>> restart(const Reader& reader, const std::string& field,
     return Status(StatusCode::kFailedPrecondition, "series: invalid Reader handle");
   }
   return detail::guarded([&] {
-    std::optional<sz::Region> core_region;
-    if (region) core_region = detail::to_sz(*region);
     core::SeriesReadReport core_report;
     std::vector<T> out = core::restart_at_step<T>(*reader.impl()->file, field, step,
-                                                  core_region, to_core(options),
-                                                  &core_report);
+                                                  region, to_core(options), &core_report);
     if (report != nullptr) merge_read_report(core_report, *report);
     return out;
   });

@@ -1,7 +1,6 @@
 #include "pcw/status.h"
 
 #include "pcw/types.h"
-#include "pcw/writer.h"
 
 namespace pcw {
 

@@ -11,16 +11,6 @@
 namespace pcw {
 namespace {
 
-core::WriteMode to_core(WriteMode m) {
-  switch (m) {
-    case WriteMode::kNoCompression: return core::WriteMode::kNoCompression;
-    case WriteMode::kFilterCollective: return core::WriteMode::kFilterCollective;
-    case WriteMode::kOverlap: return core::WriteMode::kOverlap;
-    case WriteMode::kOverlapReorder: return core::WriteMode::kOverlapReorder;
-  }
-  return core::WriteMode::kOverlapReorder;
-}
-
 void merge_rank_report(const core::RankReport& r, WriteReport& out) {
   out.predict_seconds += r.predict_seconds;
   out.exchange_seconds += r.exchange_seconds;
@@ -49,7 +39,7 @@ template <typename T>
 void write_typed(mpi::Comm& comm, h5::File& file, const WriterOptions& options,
                  std::span<const Field> fields, WriteReport& out) {
   core::EngineConfig config;
-  config.mode = to_core(options.mode);
+  config.mode = options.mode;
   config.rspace = options.extra_space;
   config.compress_threads = options.compress_threads;
 
@@ -63,8 +53,8 @@ void write_typed(mpi::Comm& comm, h5::File& file, const WriterOptions& options,
       core::FieldSpec<T> spec;
       spec.name = f.name;
       spec.local = typed_span<T>(f.local);
-      spec.local_dims = detail::to_sz(f.local.dims);
-      spec.global_dims = detail::to_sz(f.global_dims);
+      spec.local_dims = f.local.dims;
+      spec.global_dims = f.global_dims;
       spec.params = detail::to_sz_params(f.codec);
       engine_fields.push_back(spec);
     } else {
@@ -74,8 +64,8 @@ void write_typed(mpi::Comm& comm, h5::File& file, const WriterOptions& options,
       const auto filter =
           h5::CodecRegistry::instance().make(f.codec.filter_id, params);
       const h5::FilterWriteStats stats = h5::write_filtered_collective<T>(
-          comm, file, f.name, typed_span<T>(f.local), detail::to_sz(f.local.dims),
-          detail::to_sz(f.global_dims), *filter);
+          comm, file, f.name, typed_span<T>(f.local), f.local.dims, f.global_dims,
+          *filter);
       out.compress_seconds += stats.compress_seconds;
       out.exchange_seconds += stats.exchange_seconds;
       out.write_seconds += stats.write_seconds;

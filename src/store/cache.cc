@@ -124,26 +124,6 @@ std::shared_ptr<const CachedValue> BlockCache::lookup(const CacheKey& key) {
   return it->second.value;
 }
 
-void BlockCache::invalidate_file(std::uint32_t file_id) {
-  metrics::Registry& reg = metrics::Registry::get();
-  for (const auto& sp : shards_) {
-    Shard& s = *sp;
-    std::lock_guard<std::mutex> lk(s.mu);
-    for (auto it = s.lru.begin(); it != s.lru.end();) {
-      if (it->file_id != file_id) {
-        ++it;
-        continue;
-      }
-      auto mit = s.map.find(*it);
-      const std::uint64_t size = mit->second.value->bytes.size();
-      s.bytes -= size;
-      reg.store_cache_bytes.add(-static_cast<std::int64_t>(size));
-      s.map.erase(mit);
-      it = s.lru.erase(it);
-    }
-  }
-}
-
 std::uint64_t BlockCache::resident_bytes() const {
   std::uint64_t total = 0;
   for (const auto& sp : shards_) {

@@ -29,12 +29,13 @@
 
 namespace pcw::store {
 
-/// Cache identity of one decoded result. `generation` is the owning
-/// file's commit count — a commit bumps it, so stale entries become
-/// unreachable (and age out via LRU) without an explicit flush.
+/// Cache identity of one decoded result. No commit generation is part of
+/// it: committed data never changes (every series step is its own
+/// dataset, names are never rewritten, and a read of a name not yet
+/// committed fails and is not cached), so an entry stays valid across
+/// later commits of the same file.
 struct CacheKey {
   std::uint32_t file_id = 0;
-  std::uint64_t generation = 0;
   std::uint8_t kind = 0;  // 0 = plain dataset read, 1 = series step
   std::uint32_t step = 0;
   std::uint8_t dtype = 0;
@@ -52,7 +53,6 @@ struct CacheKeyHash {
       h *= 1099511628211ull;
     };
     mix(k.file_id);
-    mix(k.generation);
     mix(k.kind);
     mix(k.step);
     mix(k.dtype);
@@ -89,10 +89,6 @@ class BlockCache {
   /// nothing when absent (the caller falls through to get_or_fill, which
   /// does the miss accounting).
   std::shared_ptr<const CachedValue> lookup(const CacheKey& key);
-
-  /// Drops every resident entry of `file_id` (all generations) — called
-  /// after a commit so the next read decodes the new state.
-  void invalidate_file(std::uint32_t file_id);
 
   std::uint64_t resident_bytes() const;
 

@@ -56,8 +56,7 @@ Status FileEntry::create_writer(const WriterOptions& options) {
   return Status::Ok();
 }
 
-Result<RemoteStep> FileEntry::submit_write(std::unique_ptr<PendingWrite> w,
-                                           BlockCache& cache) {
+Result<RemoteStep> FileEntry::submit_write(std::unique_ptr<PendingWrite> w) {
   if (!writable_) {
     return Status(StatusCode::kFailedPrecondition,
                   "store: " + path_ + " is open read-only");
@@ -96,7 +95,7 @@ Result<RemoteStep> FileEntry::submit_write(std::unique_ptr<PendingWrite> w,
       for (auto& p : pending_) batch.push_back(std::move(p));
       pending_.clear();
     }
-    process_batch(std::move(batch), cache);
+    process_batch(std::move(batch));
   }
   return fut.get();
 }
@@ -119,8 +118,7 @@ bool poisons(const Status& s) {
 
 }  // namespace
 
-void FileEntry::process_batch(std::vector<std::unique_ptr<PendingWrite>> batch,
-                              BlockCache& cache) {
+void FileEntry::process_batch(std::vector<std::unique_ptr<PendingWrite>> batch) {
   util::trace::Span span("store.write_batch", "store");
   {
     std::lock_guard<std::mutex> lk(admit_mu_);
@@ -188,11 +186,22 @@ void FileEntry::process_batch(std::vector<std::unique_ptr<PendingWrite>> batch,
     const Status committed = writer_.commit();
     if (!committed.ok()) fatal = committed;
   }
+  // A commit is visible only once a fresh snapshot of it is open; one
+  // that cannot be reopened must not be acknowledged.
+  std::shared_ptr<Reader> fresh;
+  if (fatal.ok()) {
+    Result<Reader> reopened = Reader::open(path_, reader_options_);
+    if (reopened.ok()) {
+      fresh = std::make_shared<Reader>(std::move(reopened).value());
+    } else {
+      fatal = reopened.status();
+    }
+  }
 
   if (!fatal.ok()) {
-    // The group commit never landed: nothing in this batch is durable,
-    // and the writer's state is no longer trusted. Fail everyone and
-    // poison; the read side keeps serving the last committed snapshot.
+    // The batch never became visible: fail everyone and poison, since the
+    // writer's state is no longer trusted; the read side keeps serving
+    // the last published snapshot.
     {
       std::lock_guard<std::mutex> lk(admit_mu_);
       poisoned_ = true;
@@ -204,17 +213,15 @@ void FileEntry::process_batch(std::vector<std::unique_ptr<PendingWrite>> batch,
     return;
   }
 
-  // Commit landed: publish the new snapshot, then acknowledge. The swap
-  // happens before any promise resolves, so a reader acting on an ack
-  // always sees its step.
+  // Publish the new snapshot, then acknowledge. The swap happens before
+  // any promise resolves, so a reader acting on an ack always sees its
+  // step. Cached decodes stay valid: committed steps never change.
   std::uint64_t gen = 0;
-  Result<Reader> fresh = Reader::open(path_, reader_options_);
   {
     std::lock_guard<std::mutex> lk(snap_mu_);
-    if (fresh.ok()) reader_ = std::make_shared<Reader>(std::move(fresh).value());
+    reader_ = std::move(fresh);
     gen = ++generation_;
   }
-  cache.invalidate_file(id_);
   util::metrics::Registry::get().store_write_batches.add(1);
   for (std::size_t i = 0; i < batch.size(); ++i) {
     if (outcomes[i].result.ok()) outcomes[i].result.value().generation = gen;

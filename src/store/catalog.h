@@ -13,9 +13,10 @@
 //     locks on the touched fields' shards, and lands ONE dual-slot
 //     commit for the whole batch (group commit). Followers block on a
 //     future until their step is durable.
-//   - A failed engine write or torn commit poisons the writer: later
-//     WRITE_STEPs fail with kFailedPrecondition while reads keep
-//     serving the last committed snapshot.
+//   - A failed engine write, a torn commit, or a commit whose snapshot
+//     cannot be reopened poisons the writer: the batch fails, later
+//     WRITE_STEPs fail with kFailedPrecondition, and reads keep serving
+//     the last published snapshot.
 #pragma once
 
 #include <array>
@@ -33,7 +34,6 @@
 #include "pcw/series.h"
 #include "pcw/store.h"
 #include "pcw/writer.h"
-#include "store/cache.h"
 
 namespace pcw::store {
 
@@ -70,9 +70,9 @@ class FileEntry {
   /// Shared locks on every shard, in index order (SCRUB).
   std::vector<std::shared_lock<std::shared_mutex>> lock_read_all();
 
-  /// Enqueues one write and blocks until the admitting group commit (or
-  /// failure). `cache` is invalidated for this file after each commit.
-  Result<RemoteStep> submit_write(std::unique_ptr<PendingWrite> w, BlockCache& cache);
+  /// Enqueues one write and blocks until the admitting group commit has
+  /// been published to readers (or failed).
+  Result<RemoteStep> submit_write(std::unique_ptr<PendingWrite> w);
 
   /// Installs the initial snapshot (read-only OPEN). Not thread-safe;
   /// called once before the entry is published.
@@ -88,8 +88,7 @@ class FileEntry {
   Status close_writer();
 
  private:
-  struct Batch;
-  void process_batch(std::vector<std::unique_ptr<PendingWrite>> batch, BlockCache& cache);
+  void process_batch(std::vector<std::unique_ptr<PendingWrite>> batch);
   std::size_t shard_index(const std::string& name) const;
 
   const std::uint32_t id_;

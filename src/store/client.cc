@@ -64,7 +64,7 @@ RemoteFile get_file(WireReader& r) {
 
 RemoteRead get_read(WireReader& r) {
   RemoteRead out;
-  out.dtype = static_cast<DType>(r.u8());
+  out.dtype = r.dtype();
   out.extents.d0 = static_cast<std::size_t>(r.u64());
   out.extents.d1 = static_cast<std::size_t>(r.u64());
   out.extents.d2 = static_cast<std::size_t>(r.u64());

@@ -46,7 +46,7 @@ void put_dataset(WireWriter& w, const RemoteDataset& d) {
 RemoteDataset get_dataset(WireReader& r) {
   RemoteDataset d;
   d.name = r.str();
-  d.dtype = static_cast<DType>(r.u8());
+  d.dtype = r.dtype();
   d.dims.d0 = static_cast<std::size_t>(r.u64());
   d.dims.d1 = static_cast<std::size_t>(r.u64());
   d.dims.d2 = static_cast<std::size_t>(r.u64());
@@ -85,7 +85,7 @@ ScrubReport get_scrub(WireReader& r) {
   for (std::uint32_t i = 0; i < n; ++i) {
     ScrubDataset d;
     d.name = r.str();
-    d.state = static_cast<ScrubHealth>(r.u8());
+    d.state = r.scrub_health();
     d.salvageable = r.u8() != 0;
     d.partitions = r.u64();
     d.damaged_partitions = r.u64();

@@ -139,6 +139,22 @@ class WireReader {
     for (int i = 0; i < 3; ++i) r.hi[static_cast<std::size_t>(i)] = static_cast<std::size_t>(u64());
     return r;
   }
+  /// Enum bytes come from another process: an out-of-range value is a
+  /// malformed frame, never an unchecked cast.
+  DType dtype() {
+    const std::uint8_t v = u8();
+    if (v > static_cast<std::uint8_t>(DType::kBytes)) {
+      throw std::runtime_error("store: malformed frame (bad dtype)");
+    }
+    return static_cast<DType>(v);
+  }
+  ScrubHealth scrub_health() {
+    const std::uint8_t v = u8();
+    if (v > static_cast<std::uint8_t>(ScrubHealth::kUnreadable)) {
+      throw std::runtime_error("store: malformed frame (bad scrub state)");
+    }
+    return static_cast<ScrubHealth>(v);
+  }
   bool done() const { return pos_ == data_.size(); }
 
  private:

@@ -291,7 +291,6 @@ Result<std::vector<std::uint8_t>> Server::Impl::handle_read(WireReader& req,
   Result<std::shared_ptr<Reader>> snap = entry.snapshot();
   if (!snap.ok()) return snap.status();
   std::shared_ptr<Reader> reader = snap.value();
-  const std::uint64_t generation = entry.generation();
 
   Result<DatasetInfo> info = series_step ? reader->series_step(name, step)
                                          : reader->dataset(name);
@@ -301,7 +300,6 @@ Result<std::vector<std::uint8_t>> Server::Impl::handle_read(WireReader& req,
 
   CacheKey key;
   key.file_id = file_id;
-  key.generation = generation;
   key.kind = series_step ? 1 : 0;
   key.step = step;
   key.dtype = static_cast<std::uint8_t>(dtype);
@@ -370,7 +368,7 @@ Result<std::vector<std::uint8_t>> Server::Impl::handle_write_step(WireReader& re
 
   Result<std::shared_ptr<FileEntry>> found = catalog.find(file_id);
   if (!found.ok()) return found.status();
-  Result<RemoteStep> step = found.value()->submit_write(std::move(pending), cache);
+  Result<RemoteStep> step = found.value()->submit_write(std::move(pending));
   if (!step.ok()) return step.status();
   WireWriter w;
   w.u32(step.value().step);

@@ -28,6 +28,7 @@
 #include <span>
 #include <vector>
 
+#include "pcw/types.h"
 #include "sz/dims.h"
 
 namespace pcw::sz {
@@ -47,10 +48,7 @@ constexpr DataType dtype_of<double>() {
   return DataType::kFloat64;
 }
 
-enum class ErrorBoundMode : std::uint8_t {
-  kAbsolute = 0,   // |recon - orig| <= error_bound
-  kRelative = 1,   // |recon - orig| <= error_bound * (max - min)
-};
+using ErrorBoundMode = pcw::ErrorBoundMode;
 
 /// Decorrelation stage. kSpatial is the Lorenzo stencil (container v2);
 /// kTemporal predicts each point from the reconstructed previous time
@@ -75,7 +73,7 @@ enum class Predictor : std::uint8_t { kSpatial = 0, kTemporal = 1 };
 ///            reads every stored byte anyway, and per-block CRCs alone
 ///            cannot catch an LZ-stream flip whose expansion reproduces
 ///            identical bytes). The default.
-enum class VerifyMode : std::uint8_t { kOff = 0, kBlob = 1, kBlock = 2 };
+using VerifyMode = pcw::VerifyMode;
 
 struct Params {
   ErrorBoundMode mode = ErrorBoundMode::kAbsolute;

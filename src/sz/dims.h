@@ -1,6 +1,7 @@
-// Dataset extents and hyperslab regions. Row-major C order with the last
+// Extent and hyperslab-region arithmetic. Row-major C order with the last
 // dimension fastest, matching how Nyx/VPIC field arrays are laid out on
-// disk.
+// disk. A Region is half-open [lo, hi); lo == hi on any axis makes the
+// selection empty (a valid degenerate request).
 //
 // The checked helpers here (element_count, strides_of, clamp_region,
 // covering_region, ...) are the single authority for extent/stride
@@ -13,29 +14,14 @@
 #include <cstddef>
 #include <stdexcept>
 
+#include "pcw/types.h"
+
 namespace pcw::sz {
 
-struct Dims {
-  // d0 is the slowest-varying dimension, d2 the fastest. 1-D data is
-  // {1, 1, n}; 2-D data is {1, rows, cols}.
-  std::size_t d0 = 1;
-  std::size_t d1 = 1;
-  std::size_t d2 = 1;
-
-  static Dims make_1d(std::size_t n) { return {1, 1, n}; }
-  static Dims make_2d(std::size_t rows, std::size_t cols) { return {1, rows, cols}; }
-  static Dims make_3d(std::size_t x, std::size_t y, std::size_t z) { return {x, y, z}; }
-
-  std::size_t count() const { return d0 * d1 * d2; }
-
-  /// Number of dimensions with extent > 1 (minimum 1).
-  int rank() const {
-    int r = (d0 > 1) + (d1 > 1) + (d2 > 1);
-    return r == 0 ? 1 : r;
-  }
-
-  bool operator==(const Dims&) const = default;
-};
+// The extent and region types are the public ones (pcw/types.h): d0 is
+// the slowest-varying dimension, d2 the fastest.
+using Dims = pcw::Dims;
+using Region = pcw::Region;
 
 /// dims.count() with overflow checking. Parsing paths feed untrusted
 /// extents through this so crafted headers cannot wrap the element count
@@ -64,28 +50,6 @@ inline int slowest_nonunit_axis(const Dims& dims) {
 inline std::size_t extent(const Dims& dims, int axis) {
   return axis == 0 ? dims.d0 : (axis == 1 ? dims.d1 : dims.d2);
 }
-
-/// Half-open axis-aligned box [lo, hi) in Dims coordinates. lo == hi on
-/// any axis makes the selection empty (a valid degenerate request).
-struct Region {
-  std::array<std::size_t, 3> lo{0, 0, 0};
-  std::array<std::size_t, 3> hi{0, 0, 0};
-
-  /// The whole field.
-  static Region of(const Dims& d) { return {{0, 0, 0}, {d.d0, d.d1, d.d2}}; }
-
-  bool empty() const { return hi[0] <= lo[0] || hi[1] <= lo[1] || hi[2] <= lo[2]; }
-
-  /// Box extents; all-zero when empty, never partially zero.
-  Dims extents() const {
-    if (empty()) return Dims{0, 0, 0};
-    return Dims{hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]};
-  }
-
-  std::size_t count() const { return empty() ? 0 : element_count(extents()); }
-
-  bool operator==(const Region&) const = default;
-};
 
 /// Throws std::invalid_argument unless lo <= hi <= extents on every axis.
 /// lo == hi (an empty selection) is valid; an inverted or out-of-bounds

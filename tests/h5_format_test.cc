@@ -146,6 +146,33 @@ TEST(H5Format, ParseRejectsBadVersionsAndForwardReferences) {
   EXPECT_THROW(parse_footer(serialize_footer({d})), std::runtime_error);
 }
 
+TEST(H5Format, ParseRejectsOutOfRangeEnumBytes) {
+  // The dtype and layout bytes follow the u32 count and the name. Legacy
+  // footers carry no CRC and a crafted one can carry a valid CRC, so the
+  // parser itself must refuse values outside the enums, in every version.
+  const DatasetDesc d = sample_contiguous();
+  const auto bytes = serialize_footer({d});
+  const std::size_t dtype_at = 4 + 4 + d.name.size();
+  ASSERT_EQ(bytes[dtype_at], static_cast<std::uint8_t>(DataType::kFloat32));
+  ASSERT_EQ(bytes[dtype_at + 1], static_cast<std::uint8_t>(Layout::kContiguous));
+  for (std::uint32_t version = kVersionMin; version <= kVersion; ++version) {
+    auto bad_dtype = bytes;
+    bad_dtype[dtype_at] = 3;
+    EXPECT_THROW(parse_footer(bad_dtype, version), std::runtime_error) << "v" << version;
+    auto bad_layout = bytes;
+    bad_layout[dtype_at + 1] = 2;
+    EXPECT_THROW(parse_footer(bad_layout, version), std::runtime_error) << "v" << version;
+  }
+  // The largest valid values still parse.
+  auto edge = bytes;
+  edge[dtype_at] = static_cast<std::uint8_t>(DataType::kBytes);
+  edge[dtype_at + 1] = static_cast<std::uint8_t>(Layout::kPartitioned);
+  const auto parsed = parse_footer(edge);
+  ASSERT_EQ(parsed.size(), 1u);
+  EXPECT_EQ(parsed[0].dtype, DataType::kBytes);
+  EXPECT_EQ(parsed[0].layout, Layout::kPartitioned);
+}
+
 TEST(H5Format, ElementSizes) {
   EXPECT_EQ(element_size(DataType::kFloat32), 4u);
   EXPECT_EQ(element_size(DataType::kFloat64), 8u);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -123,7 +124,6 @@ double max_abs_err(const std::vector<float>& a, const std::vector<float>& b) {
 store::CacheKey make_key(std::uint32_t file_id, const std::string& name) {
   store::CacheKey key;
   key.file_id = file_id;
-  key.generation = 1;
   key.name = name;
   return key;
 }
@@ -140,53 +140,52 @@ Result<store::CachedValue> make_value(std::size_t bytes) {
 
 TEST(StoreCache, LruEvictionUnderByteBudget) {
   const Telemetry before = metrics_snapshot();
-  store::BlockCache cache(3000, 1);  // one shard, room for three 1000-byte entries
+  {
+    store::BlockCache cache(3000, 1);  // one shard, room for three 1000-byte entries
 
-  for (int i = 1; i <= 3; ++i) {
-    const auto got = cache.get_or_fill(make_key(7, std::to_string(i)),
-                                       [] { return make_value(1000); });
-    ASSERT_TRUE(got.ok());
+    for (int i = 1; i <= 3; ++i) {
+      const auto got = cache.get_or_fill(make_key(7, std::to_string(i)),
+                                         [] { return make_value(1000); });
+      ASSERT_TRUE(got.ok());
+    }
+    EXPECT_EQ(cache.resident_bytes(), 3000u);
+
+    // Touch "1" so "2" becomes least-recently-used, then overflow: exactly
+    // one eviction, and it is "2".
+    EXPECT_NE(cache.lookup(make_key(7, "1")), nullptr);
+    const auto fourth = cache.get_or_fill(make_key(7, "4"),
+                                          [] { return make_value(1000); });
+    ASSERT_TRUE(fourth.ok());
+    EXPECT_EQ(cache.resident_bytes(), 3000u);
+    EXPECT_EQ(cache.lookup(make_key(7, "2")), nullptr);
+    EXPECT_NE(cache.lookup(make_key(7, "1")), nullptr);
+    EXPECT_NE(cache.lookup(make_key(7, "3")), nullptr);
+    EXPECT_NE(cache.lookup(make_key(7, "4")), nullptr);
+
+    // Hits again without filling; then a repeat get_or_fill is a hit, not
+    // a second fill.
+    int fills = 0;
+    const auto again = cache.get_or_fill(make_key(7, "4"), [&] {
+      ++fills;
+      return make_value(1000);
+    });
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(fills, 0);
+
+    // An entry bigger than the whole budget is returned but never resident.
+    const auto big = cache.get_or_fill(make_key(7, "big"),
+                                       [] { return make_value(5000); });
+    ASSERT_TRUE(big.ok());
+    EXPECT_EQ(big.value()->bytes.size(), 5000u);
+    EXPECT_EQ(cache.lookup(make_key(7, "big")), nullptr);
+    EXPECT_EQ(cache.resident_bytes(), 3000u);
   }
-  EXPECT_EQ(cache.resident_bytes(), 3000u);
-
-  // Touch "1" so "2" becomes least-recently-used, then overflow: exactly
-  // one eviction, and it is "2".
-  EXPECT_NE(cache.lookup(make_key(7, "1")), nullptr);
-  const auto fourth = cache.get_or_fill(make_key(7, "4"),
-                                        [] { return make_value(1000); });
-  ASSERT_TRUE(fourth.ok());
-  EXPECT_EQ(cache.resident_bytes(), 3000u);
-  EXPECT_EQ(cache.lookup(make_key(7, "2")), nullptr);
-  EXPECT_NE(cache.lookup(make_key(7, "1")), nullptr);
-  EXPECT_NE(cache.lookup(make_key(7, "3")), nullptr);
-  EXPECT_NE(cache.lookup(make_key(7, "4")), nullptr);
-
-  // Hits again without filling; then a repeat get_or_fill is a hit, not a
-  // second fill.
-  int fills = 0;
-  const auto again = cache.get_or_fill(make_key(7, "4"), [&] {
-    ++fills;
-    return make_value(1000);
-  });
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(fills, 0);
-
-  // An entry bigger than the whole budget is returned but never resident.
-  const auto big = cache.get_or_fill(make_key(7, "big"),
-                                     [] { return make_value(5000); });
-  ASSERT_TRUE(big.ok());
-  EXPECT_EQ(big.value()->bytes.size(), 5000u);
-  EXPECT_EQ(cache.lookup(make_key(7, "big")), nullptr);
-  EXPECT_EQ(cache.resident_bytes(), 3000u);
-
-  cache.invalidate_file(7);
-  EXPECT_EQ(cache.resident_bytes(), 0u);
 
   const Telemetry after = metrics_snapshot();
   EXPECT_EQ(after.store_cache_evictions - before.store_cache_evictions, 1u);
   // 5 fills ran: "1".."4" plus "big".
   EXPECT_EQ(after.store_cache_misses - before.store_cache_misses, 5u);
-  // Cache destructor + invalidate returned every resident byte.
+  // The cache destructor returned every resident byte.
   EXPECT_EQ(after.store_cache_bytes, before.store_cache_bytes);
 }
 
@@ -335,6 +334,43 @@ TEST(StoreProtocol, TruncatedPayloadThrows) {
   // Reading past the end of an empty payload throws too.
   store::WireReader empty{std::span<const std::uint8_t>()};
   EXPECT_THROW((void)empty.u32(), std::runtime_error);
+}
+
+TEST(StoreProtocol, OutOfRangeEnumBytesAreMalformed) {
+  // Enum bytes come from another process: a value outside the enum is a
+  // malformed frame, not a cast into an invalid enumerator.
+  store::RemoteDataset d;
+  d.name = "rho";
+  store::WireWriter w;
+  store::put_dataset(w, d);
+  std::vector<std::uint8_t> payload = w.take();
+  const std::size_t dtype_at = 4 + d.name.size();  // u32 length + name
+  ASSERT_EQ(payload[dtype_at], static_cast<std::uint8_t>(DType::kFloat32));
+  payload[dtype_at] = 3;
+  store::WireReader r{std::span<const std::uint8_t>(payload)};
+  EXPECT_THROW((void)store::get_dataset(r), std::runtime_error);
+
+  ScrubReport report;
+  ScrubDataset sd;
+  sd.name = "rho";
+  sd.state = ScrubHealth::kUnreadable;
+  report.datasets.push_back(sd);
+  store::WireWriter sw;
+  store::put_scrub(sw, report);
+  std::vector<std::uint8_t> spayload = sw.take();
+  const std::size_t state_at = 3 * 8 + 4 + 4 + sd.name.size();  // counts, n, name
+  ASSERT_EQ(spayload[state_at], static_cast<std::uint8_t>(ScrubHealth::kUnreadable));
+  spayload[state_at] = 3;
+  store::WireReader sr{std::span<const std::uint8_t>(spayload)};
+  EXPECT_THROW((void)store::get_scrub(sr), std::runtime_error);
+
+  // The READ reply's dtype byte goes through the same checked decoder.
+  const std::vector<std::uint8_t> bytes{0, 1, 2, 0xff};
+  store::WireReader br{std::span<const std::uint8_t>(bytes)};
+  EXPECT_EQ(br.dtype(), DType::kFloat32);
+  EXPECT_EQ(br.dtype(), DType::kFloat64);
+  EXPECT_EQ(br.dtype(), DType::kBytes);
+  EXPECT_THROW((void)br.dtype(), std::runtime_error);
 }
 
 TEST(StoreProtocol, AddressGrammar) {
@@ -831,6 +867,130 @@ TEST(StoreServer, TornCommitKeepsOldStateAndPoisonsTheWriter) {
   const Result<ScrubReport> scrubbed = reader->scrub(true);
   ASSERT_TRUE(scrubbed.ok());
   EXPECT_TRUE(scrubbed->ok());
+}
+
+TEST(StoreServer, CommittedReadsStayCachedAcrossLaterWrites) {
+  TempFile file("cached_across_writes");
+  const Dims dims = Dims::make_3d(8, 16, 16);
+  ServerEnv env("cached_across_writes");
+  store::Client client = env.connect();
+  const Result<store::RemoteFile> created =
+      client.open(file.path, store::OpenMode::kCreate);
+  ASSERT_TRUE(created.ok()) << created.status().to_string();
+  const std::uint32_t file_id = created->id;
+  auto write = [&](int t) {
+    const std::vector<float> data = step_field(dims, t);
+    const Result<store::RemoteStep> ack = client.write_step(
+        file_id, "rho", FieldView::of(data, dims), kEb, /*keyframe_interval=*/2);
+    ASSERT_TRUE(ack.ok()) << ack.status().to_string();
+  };
+
+  write(0);
+  const Result<store::RemoteRead> first = client.read_step(file_id, "rho", 0);
+  ASSERT_TRUE(first.ok()) << first.status().to_string();
+  write(1);
+
+  // Step 0's committed bytes did not change, so the commit of step 1
+  // leaves its cached decode in place: the re-read is one hit.
+  const Telemetry before = metrics_snapshot();
+  const Result<store::RemoteRead> again = client.read_step(file_id, "rho", 0);
+  const Telemetry after = metrics_snapshot();
+  ASSERT_TRUE(again.ok()) << again.status().to_string();
+  EXPECT_EQ(after.store_cache_hits - before.store_cache_hits, 1u);
+  EXPECT_EQ(after.store_cache_misses - before.store_cache_misses, 0u);
+  EXPECT_EQ(again->bytes, first->bytes);
+
+  Result<Reader> reader = Reader::open(file.path);
+  ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+  const Result<std::vector<std::uint8_t>> local =
+      restart_bytes(*reader, "rho", 0, DType::kFloat32);
+  ASSERT_TRUE(local.ok()) << local.status().to_string();
+  EXPECT_EQ(again->bytes, *local);
+}
+
+TEST(StoreServer, UnpublishableCommitIsNotAcknowledged) {
+  // Runs one step, then a second WRITE_STEP under `plan`; returns the
+  // second ack. The reads of the post-commit snapshot reopen are the last
+  // reads of a write batch, so a count-only dry run sizes the fault.
+  struct Outcome {
+    Result<store::RemoteStep> ack = Status(StatusCode::kInternal, "not run");
+    util::fault::Counts counts;
+  };
+  const Dims dims = Dims::make_3d(8, 16, 16);
+  auto scenario = [&](const std::string& tag, const util::fault::Plan& plan,
+                      const std::function<void(store::Client&, std::uint32_t,
+                                               const std::string&)>& after) {
+    TempFile file(tag);
+    ServerEnv env(tag);
+    store::Client client = env.connect();
+    const Result<store::RemoteFile> created =
+        client.open(file.path, store::OpenMode::kCreate);
+    EXPECT_TRUE(created.ok()) << created.status().to_string();
+    Outcome out;
+    if (!created.ok()) return out;
+    const std::vector<float> step0 = step_field(dims, 0);
+    const Result<store::RemoteStep> first = client.write_step(
+        created->id, "rho", FieldView::of(step0, dims), kEb, /*keyframe_interval=*/2);
+    EXPECT_TRUE(first.ok()) << first.status().to_string();
+    const std::vector<float> step1 = step_field(dims, 1);
+    util::fault::arm(plan);
+    out.ack = client.write_step(created->id, "rho", FieldView::of(step1, dims), kEb,
+                                /*keyframe_interval=*/2);
+    util::fault::disarm();
+    out.counts = util::fault::counts();
+    after(client, created->id, file.path);
+    return out;
+  };
+
+  util::fault::Plan count_only;
+  count_only.op = util::fault::Op::kRead;
+  count_only.nth = UINT64_MAX;
+  const Outcome dry = scenario("reopen_dry", count_only,
+                               [](store::Client&, std::uint32_t, const std::string&) {});
+  ASSERT_TRUE(dry.ack.ok()) << dry.ack.status().to_string();
+  ASSERT_GT(dry.counts.reads, 0u);
+
+  util::fault::Plan fail_reopen;
+  fail_reopen.op = util::fault::Op::kRead;
+  fail_reopen.action = util::fault::Action::kFail;
+  fail_reopen.nth = dry.counts.reads;
+  fail_reopen.error_number = EIO;
+  const Outcome failed = scenario(
+      "reopen_fail", fail_reopen,
+      [&](store::Client& client, std::uint32_t file_id, const std::string& path) {
+        // The generation did not move past the one published commit.
+        const Result<std::vector<store::RemoteFile>> files = client.catalog();
+        ASSERT_TRUE(files.ok()) << files.status().to_string();
+        bool seen = false;
+        for (const store::RemoteFile& f : *files) {
+          if (f.id != file_id) continue;
+          seen = true;
+          EXPECT_EQ(f.generation, 1u);
+        }
+        EXPECT_TRUE(seen);
+        // Reads serve the last published snapshot: step 0 bit-exact,
+        // step 1 (on disk, never published) not visible.
+        const Result<store::RemoteRead> old = client.read_step(file_id, "rho", 0);
+        ASSERT_TRUE(old.ok()) << old.status().to_string();
+        Result<Reader> reader = Reader::open(path);
+        ASSERT_TRUE(reader.ok()) << reader.status().to_string();
+        const Result<std::vector<std::uint8_t>> local =
+            restart_bytes(*reader, "rho", 0, DType::kFloat32);
+        ASSERT_TRUE(local.ok());
+        EXPECT_EQ(old->bytes, *local);
+        const Result<store::RemoteRead> unpublished = client.read_step(file_id, "rho", 1);
+        ASSERT_FALSE(unpublished.ok());
+        EXPECT_EQ(unpublished.status().code(), StatusCode::kNotFound);
+        // The writer is poisoned: later writes are refused.
+        const std::vector<float> step2 = step_field(dims, 2);
+        const Result<store::RemoteStep> refused = client.write_step(
+            file_id, "rho", FieldView::of(step2, dims), kEb, /*keyframe_interval=*/2);
+        ASSERT_FALSE(refused.ok());
+        EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+      });
+  ASSERT_FALSE(failed.ack.ok());
+  EXPECT_EQ(failed.ack.status().code(), StatusCode::kIoError)
+      << failed.ack.status().to_string();
 }
 
 TEST(StoreServer, ScrubServesAlongsideConcurrentReaders) {
